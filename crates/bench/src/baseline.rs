@@ -28,12 +28,11 @@
 //! The sweep speedup is additionally skipped when either record ran with
 //! more jobs than the host had cores (`sweep.cores < sweep.jobs`): an
 //! oversubscribed "parallel" run measures scheduling pressure, not the
-//! executor. Both the sweep and the shard-executor speedups are skipped
-//! outright when either record ran on a single core — parallel wall time
-//! on one core measures context-switch overhead, not the executors —
-//! while the `stats_equal` flags in those sections are enforced
-//! unconditionally (determinism does not need parallel hardware to be
-//! checkable).
+//! executor. It is skipped outright when either record ran on a single
+//! core — parallel wall time on one core measures context-switch
+//! overhead, not the executor — while the sweep's `results_equal` flag is
+//! enforced unconditionally (determinism does not need parallel hardware
+//! to be checkable).
 //!
 //! The JSON reader below is a minimal recursive-descent parser for the
 //! subset `sim_scale` emits (objects, arrays, strings, numbers, bools) —
@@ -340,7 +339,7 @@ pub fn check(baseline_json: &str, current_json: &str) -> Result<Verdict, String>
     };
 
     let mut speedups: Vec<(String, f64, f64)> = Vec::new();
-    for section in ["results", "scheduler", "resources"] {
+    for section in ["results", "resources"] {
         let base_rows = rows(&base, section);
         let cur_rows = rows(&cur, section);
         for brow in &base_rows {
@@ -388,7 +387,6 @@ pub fn check(baseline_json: &str, current_json: &str) -> Result<Verdict, String>
                 .and_then(Value::as_f64)
         })
     };
-    let multi_core = host_cores(&base) > Some(1.0) && host_cores(&cur) > Some(1.0);
 
     // Sweep block: the flag is exact; the speedup joins the tolerance pool
     // only when neither record oversubscribed the host and both hosts had
@@ -424,23 +422,6 @@ pub fn check(baseline_json: &str, current_json: &str) -> Result<Verdict, String>
         }
     }
 
-    // Shard block: `stats_equal` is enforced unconditionally (the shard
-    // executor must be invisible on any host); the per-n speedups join the
-    // tolerance pool only when both hosts were multi-core and the records
-    // used the same shard count (different widths are different
-    // experiments).
-    let shard_rows = |root: &Value| -> Vec<Value> {
-        root.get("shards")
-            .and_then(|s| s.get("rows"))
-            .and_then(Value::as_arr)
-            .map(<[Value]>::to_vec)
-            .unwrap_or_default()
-    };
-    let shard_count = |root: &Value| -> Option<f64> {
-        root.get("shards")
-            .and_then(|s| s.get("count"))
-            .and_then(Value::as_f64)
-    };
     // Resource metrics are compared under their own gates: event
     // throughput only across hosts of the same width (an absolute rate on
     // a narrower host is a different experiment, not a regression), peak
@@ -507,7 +488,9 @@ pub fn check(baseline_json: &str, current_json: &str) -> Result<Verdict, String>
         }
     }
     let city_setting = |root: &Value, key: &str| -> Option<f64> {
-        root.get("city").and_then(|c| c.get(key)).and_then(Value::as_f64)
+        root.get("city")
+            .and_then(|c| c.get(key))
+            .and_then(Value::as_f64)
     };
     let city_comparable = city_setting(&base, "n").is_some()
         && city_setting(&base, "n") == city_setting(&cur, "n")
@@ -557,35 +540,6 @@ pub fn check(baseline_json: &str, current_json: &str) -> Result<Verdict, String>
         }
     }
 
-    let shards_comparable =
-        multi_core && shard_count(&base).is_some() && shard_count(&base) == shard_count(&cur);
-    let cur_shard_rows = shard_rows(&cur);
-    for crow in &cur_shard_rows {
-        let Some(n) = crow.get("n").and_then(Value::as_f64) else {
-            continue;
-        };
-        if crow.get("stats_equal").and_then(Value::as_bool) == Some(false) {
-            regressions.push(Regression {
-                what: format!("shards.rows[n={n}].stats_equal is false"),
-                baseline: 1.0,
-                current: 0.0,
-            });
-        }
-    }
-    if shards_comparable {
-        for brow in shard_rows(&base) {
-            let Some(n) = brow.get("n").and_then(Value::as_f64) else {
-                continue;
-            };
-            if let (Some(b), Some(c)) = (
-                brow.get("speedup").and_then(Value::as_f64),
-                find_n(&cur_shard_rows, n).and_then(|r| r.get("speedup").and_then(Value::as_f64)),
-            ) {
-                speedups.push((format!("shards.rows[n={n}].speedup"), b, c));
-            }
-        }
-    }
-
     for (what, b, c) in speedups {
         // Skip degenerate baselines — a ≤0 speedup means the baseline run
         // itself was broken, which is not this run's regression.
@@ -605,30 +559,16 @@ pub fn check(baseline_json: &str, current_json: &str) -> Result<Verdict, String>
 mod tests {
     use super::*;
 
-    fn record_full(
-        frames: u64,
-        events: u64,
-        speedup: f64,
-        jobs: u64,
-        cores: u64,
-        shard_speedup: f64,
-        shard_equal: bool,
-    ) -> String {
+    fn record(frames: u64, events: u64, speedup: f64, jobs: u64, cores: u64) -> String {
         format!(
             "{{\"bench\": \"sim_scale\", \"quick\": true, \"sim_seconds\": 2, \
              \"cores\": {cores},\n\
              \"sweep\": {{\"jobs\": {jobs}, \"cores\": {cores}, \"speedup\": {speedup}, \
              \"results_equal\": true}},\n\
-             \"shards\": {{\"count\": 4, \"rows\": [{{\"n\": 2000, \
-             \"speedup\": {shard_speedup}, \"stats_equal\": {shard_equal}}}]}},\n\
              \"results\": [{{\"n\": 100, \"frames_sent\": {frames}, \"speedup\": 5.0, \
              \"stats_equal\": true}}],\n\
              \"resources\": [{{\"n\": 100, \"events\": {events}}}]}}"
         )
-    }
-
-    fn record(frames: u64, events: u64, speedup: f64, jobs: u64, cores: u64) -> String {
-        record_full(frames, events, speedup, jobs, cores, 2.0, true)
     }
 
     fn regressions(verdict: Verdict) -> Vec<Regression> {
@@ -710,77 +650,26 @@ mod tests {
     }
 
     #[test]
-    fn shard_speedup_collapse_is_a_regression_on_multicore() {
-        let found = regressions(
-            check(
-                &record_full(1000, 5000, 2.0, 4, 8, 2.5, true),
-                &record_full(1000, 5000, 2.0, 4, 8, 1.0, true),
-            )
-            .unwrap(),
-        );
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(
-            found[0].what.contains("shards.rows[n=2000]"),
-            "{}",
-            found[0]
-        );
-    }
-
-    #[test]
-    fn single_core_skips_shard_and_sweep_speedups_only() {
-        // cores == 1 in the fresh record: both collapsed speedups are
+    fn single_core_skips_sweep_speedup_only() {
+        // cores == 1 in the fresh record: the collapsed sweep speedup is
         // skipped; the exact counters are still enforced.
         let found = regressions(
             check(
-                &record_full(1000, 5000, 2.0, 1, 8, 2.5, true),
-                &record_full(1000, 5000, 0.4, 1, 1, 0.5, true),
+                &record(1000, 5000, 2.0, 1, 8),
+                &record(1000, 5000, 0.4, 1, 1),
             )
             .unwrap(),
         );
         assert!(found.is_empty(), "{found:?}");
         let found = regressions(
             check(
-                &record_full(1000, 5000, 2.0, 1, 8, 2.5, true),
-                &record_full(1001, 5000, 0.4, 1, 1, 0.5, true),
+                &record(1000, 5000, 2.0, 1, 8),
+                &record(1001, 5000, 0.4, 1, 1),
             )
             .unwrap(),
         );
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found[0].what.contains("frames_sent"), "{}", found[0]);
-    }
-
-    #[test]
-    fn shard_stats_divergence_fails_even_on_one_core() {
-        let found = regressions(
-            check(
-                &record_full(1000, 5000, 2.0, 1, 1, 1.0, true),
-                &record_full(1000, 5000, 2.0, 1, 1, 1.0, false),
-            )
-            .unwrap(),
-        );
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(
-            found[0].what.contains("shards.rows[n=2000].stats_equal"),
-            "{}",
-            found[0]
-        );
-    }
-
-    #[test]
-    fn baseline_without_shards_block_still_compares() {
-        // Pre-ISSUE-9 baselines have no "shards" and no top-level "cores";
-        // the check must fall back to sweep.cores and simply not compare
-        // shard speedups.
-        let old = record(1000, 5000, 2.0, 4, 8)
-            .replace("\"cores\": 8,\n", "")
-            .replace(
-                "\"shards\": {\"count\": 4, \"rows\": [{\"n\": 2000, \
-                 \"speedup\": 2, \"stats_equal\": true}]},\n",
-                "",
-            );
-        assert!(!old.contains("shards"), "replace must strip the block");
-        let found = regressions(check(&old, &record(1000, 5000, 2.0, 4, 8)).unwrap());
-        assert!(found.is_empty(), "{found:?}");
     }
 
     #[test]
@@ -825,7 +714,11 @@ mod tests {
             .unwrap(),
         );
         assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].what.contains("city.rows[stadium_exit].events"), "{}", found[0]);
+        assert!(
+            found[0].what.contains("city.rows[stadium_exit].events"),
+            "{}",
+            found[0]
+        );
     }
 
     #[test]
@@ -912,17 +805,15 @@ mod tests {
 
     #[test]
     fn baseline_without_city_block_still_compares() {
-        let old = format!(
-            "{{\"bench\": \"sim_scale\", \"quick\": true, \"sim_seconds\": 2, \
+        let old = "{\"bench\": \"sim_scale\", \"quick\": true, \"sim_seconds\": 2, \
              \"cores\": 8,\n\
-             \"sweep\": {{\"jobs\": 1, \"cores\": 8, \"speedup\": 1.0, \
-             \"results_equal\": true}},\n\
-             \"results\": []}}"
-        );
+             \"sweep\": {\"jobs\": 1, \"cores\": 8, \"speedup\": 1.0, \
+             \"results_equal\": true},\n\
+             \"results\": []}";
         let new = city_record(10_000, 350_000, 300_000, 10_000, 8, true);
         // Neither direction may error or regress on the missing block.
-        assert!(regressions(check(&old, &new).unwrap()).is_empty());
-        assert!(regressions(check(&new, &old).unwrap()).is_empty());
+        assert!(regressions(check(old, &new).unwrap()).is_empty());
+        assert!(regressions(check(&new, old).unwrap()).is_empty());
     }
 
     #[test]

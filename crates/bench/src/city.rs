@@ -3,7 +3,7 @@
 //!
 //! The paper's venues top out at hundreds of people; these scenarios ask
 //! what the *kernel* costs at city scale, where the slab/SoA memory diet
-//! (DESIGN.md §16) has to hold. Every layout keeps the neighbor count per
+//! (DESIGN.md §15) has to hold. Every layout keeps the neighbor count per
 //! node bounded — area grows with `n` — so dispatch work stays O(n) and
 //! the per-node byte budget is meaningful rather than dominated by one
 //! dense hotspot:
@@ -189,8 +189,13 @@ fn build_corridor(world: &mut World, n: usize) {
             }
             // Stagger lanes by half a headway so vehicles don't form
             // perfect broadside rows.
-            let x = 10.0 + slot as f64 * CORRIDOR_HEADWAY_M
-                + if lane % 2 == 1 { CORRIDOR_HEADWAY_M / 2.0 } else { 0.0 };
+            let x = 10.0
+                + slot as f64 * CORRIDOR_HEADWAY_M
+                + if lane % 2 == 1 {
+                    CORRIDOR_HEADWAY_M / 2.0
+                } else {
+                    0.0
+                };
             let id = spawn(world, Position::new(x, y), &mut rng);
             let speed = rng.range_f64(25.0, 35.0);
             // Drive toward the end of the corridor plus a margin so nobody

@@ -214,7 +214,11 @@ impl DataDescriptor {
     #[must_use]
     pub fn chunk_descriptor(&self, id: ChunkId) -> DataDescriptor {
         let mut attrs = self.attrs.clone();
-        insert_sorted(&mut attrs, AttrName::ChunkId, AttrValue::Int(i64::from(id.0)));
+        insert_sorted(
+            &mut attrs,
+            AttrName::ChunkId,
+            AttrValue::Int(i64::from(id.0)),
+        );
         DataDescriptor { attrs }
     }
 

@@ -12,8 +12,8 @@ use pds_det::DetMap;
 use pds_mobility::grid;
 use pds_sim::obs::FlightRecorder;
 use pds_sim::{
-    Application, Context, MessageHandle, MessageMeta, NodeId, Position, Scheduler, SimConfig,
-    SimDuration, SimTime, Stats, TraceSink, World,
+    Application, Context, MessageHandle, MessageMeta, NodeId, Position, SimConfig, SimDuration,
+    SimTime, Stats, TraceSink, World,
 };
 use std::collections::BTreeSet;
 
@@ -42,18 +42,9 @@ pub struct CaseOutcome {
 /// Runs one case start to finish and gathers its witnesses.
 #[must_use]
 pub fn run_case(spec: &CaseSpec) -> CaseOutcome {
-    run_case_with_scheduler(spec, Scheduler::default())
-}
-
-/// [`run_case`] on an explicit event-queue implementation. The scheduler
-/// is a kernel implementation detail, so the outcome must be identical
-/// across schedulers — `tests/properties.rs` pins that under active
-/// fault plans.
-#[must_use]
-pub fn run_case_with_scheduler(spec: &CaseSpec, scheduler: Scheduler) -> CaseOutcome {
     match spec.family {
-        Family::Transport => run_transport(spec, scheduler, None).0,
-        Family::Pds => run_pds(spec, scheduler, None).0,
+        Family::Transport => run_transport(spec, None).0,
+        Family::Pds => run_pds(spec, None).0,
     }
 }
 
@@ -69,8 +60,8 @@ pub fn run_case_recorded(spec: &CaseSpec) -> (CaseOutcome, FlightRecorder) {
         pds_sim::obs::flight::DEFAULT_NODE_CAPACITY,
     ));
     let (outcome, sink) = match spec.family {
-        Family::Transport => run_transport(spec, Scheduler::default(), Some(sink)),
-        Family::Pds => run_pds(spec, Scheduler::default(), Some(sink)),
+        Family::Transport => run_transport(spec, Some(sink)),
+        Family::Pds => run_pds(spec, Some(sink)),
     };
     let recorder = sink
         .and_then(|mut s| {
@@ -202,14 +193,10 @@ impl Application for Sink {
 
 fn run_transport(
     spec: &CaseSpec,
-    scheduler: Scheduler,
     sink: Option<Box<dyn TraceSink>>,
 ) -> (CaseOutcome, Option<Box<dyn TraceSink>>) {
     let nodes = spec.nodes.max(2);
-    let mut sim = SimConfig {
-        scheduler,
-        ..SimConfig::default()
-    };
+    let mut sim = SimConfig::default();
     sim.radio.baseline_loss = f64::from(spec.loss_ppm) * PPM;
     sim.ack.max_retr = spec.max_retr;
     let mut world = World::new(sim, spec.world_seed);
@@ -332,12 +319,10 @@ fn doomed_ids(spec: &CaseSpec) -> Vec<Vec<u32>> {
 
 fn run_pds(
     spec: &CaseSpec,
-    scheduler: Scheduler,
     sink: Option<Box<dyn TraceSink>>,
 ) -> (CaseOutcome, Option<Box<dyn TraceSink>>) {
     let g = spec.nodes.max(2) as usize;
     let mut sim = SimConfig::paper_multi_hop();
-    sim.scheduler = scheduler;
     sim.radio.baseline_loss = f64::from(spec.loss_ppm) * PPM;
     sim.ack.max_retr = spec.max_retr;
     let mut world = World::new(sim, spec.world_seed);

@@ -11,13 +11,10 @@
 //! * `wall-clock` — `Instant`/`SystemTime`/`UNIX_EPOCH`; use `SimTime`;
 //! * `entropy-rng` — OS-entropy RNG constructors; use the seeded
 //!   `SimRng`;
-//! * `thread-pool` — `std::thread`/`rayon`; the simulation commits
-//!   everything observable on one thread by construction. Two audited
-//!   exceptions exist: the parallel sweep executor in `pds-bench`
-//!   (component-exempt) and the shard verdict executor in
-//!   `crates/sim/src/shard.rs`, which carries a pragma because its
-//!   scoped workers only evaluate a pure function over a frozen
-//!   snapshot (DESIGN.md §15) — both ratcheted in `lint-exemptions.txt`.
+//! * `thread-pool` — `std::thread`/`std::sync::mpsc`/`rayon`; the
+//!   simulation runs one world on one thread by construction. The only
+//!   parallelism is the sweep executor in `pds-bench`, which runs whole
+//!   worlds on worker threads and is component-exempt.
 //!
 //! Unlike the old scanner these resolve `use` trees, so
 //! `use std::collections::HashMap as Map; Map::new()` is caught.
@@ -132,16 +129,13 @@ pub fn thread_pool() -> BannedPathRule {
             skip_cfg_test: false,
             skip_cfg_prof: false,
         },
-        help: "keep observable simulation state single-threaded; parallelism lives in \
-               pds-bench's sweep executor or the audited shard verdict executor \
-               (crates/sim/src/shard.rs, pragma + DESIGN.md §15)",
+        help: "keep simulation state single-threaded; parallelism lives only in \
+               pds-bench's sweep executor, which runs whole worlds per thread",
         components: DET_SCOPE,
         // The bench harness runs whole deterministic worlds on worker
         // threads; digests stay reproducible because each world commits
         // sequentially internally. The crate stays exempt, as under the
-        // old scanner. The sim crate's shard executor is NOT
-        // component-exempt: it carries a line pragma so any new thread
-        // use elsewhere in the kernel still fails the ratchet.
+        // old scanner.
         exempt_components: &["bench"],
         banned: &[&["std", "thread"], &["std", "sync", "mpsc"], &["rayon"]],
         bare_idents: &["ThreadPool", "rayon"],

@@ -29,7 +29,7 @@ use std::path::Path;
 /// overwrite is a write into the node's ring, so once the rings outgrow
 /// the cache every recorded event pays a miss — 1024 slots/node measures
 /// ~2.6× the record cost of 256 on a 1000-node run. The default was 256
-/// until the slab/SoA kernel diet (DESIGN.md §16) made the bare event
+/// until the slab/SoA kernel diet (DESIGN.md §15) made the bare event
 /// loop ~2.4× faster, which turned those misses into the dominant cost of
 /// an instrumented run; at 64 the rings are mostly cache-resident and the
 /// recorder fits the `--flight-check` 10% overhead budget again.

@@ -228,36 +228,8 @@ impl Default for SpatialConfig {
     }
 }
 
-/// Which data structure backs the kernel's event queue (DESIGN.md §11).
-///
-/// Both implementations pop in identical `(time, insertion seq)` order, so
-/// — exactly like [`SpatialIndex`] — this can differ between otherwise
-/// identical runs for differential testing without perturbing replay
-/// digests or statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scheduler {
-    /// Hierarchical timer wheel: O(1) amortized push/pop. The default
-    /// (unless the `heap-queue` cargo feature is enabled).
-    Wheel,
-    /// Binary heap: O(log n) push/pop — the reference implementation the
-    /// wheel is differentially tested against. The `heap-queue` cargo
-    /// feature makes this the default so CI can gate digest equality
-    /// across separately built binaries.
-    BinaryHeap,
-}
-
-impl Default for Scheduler {
-    fn default() -> Self {
-        if cfg!(feature = "heap-queue") {
-            Self::BinaryHeap
-        } else {
-            Self::Wheel
-        }
-    }
-}
-
 /// Complete simulator configuration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimConfig {
     /// Physical/MAC parameters.
     pub radio: RadioConfig,
@@ -267,31 +239,6 @@ pub struct SimConfig {
     pub ack: AckConfig,
     /// Spatial range-query index selection and tuning.
     pub spatial: SpatialConfig,
-    /// Event-queue implementation selection.
-    pub scheduler: Scheduler,
-    /// Number of spatial shards for intra-run parallel stepping.
-    ///
-    /// `1` (the default) is the exact sequential path with zero overhead.
-    /// Values > 1 precompute physical receive verdicts for transmissions
-    /// ending inside a conservative lookahead window on a scoped thread
-    /// pool; every RNG draw still happens on the sequential commit path,
-    /// so the replay digest and `Stats` are bit-identical for any shard
-    /// count (gated in CI the same way grid/brute and wheel/heap are).
-    /// `0` is normalized to `1` at `World::new`.
-    pub shards: u32,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        Self {
-            radio: RadioConfig::default(),
-            sender: SenderMode::default(),
-            ack: AckConfig::default(),
-            spatial: SpatialConfig::default(),
-            scheduler: Scheduler::default(),
-            shards: 1,
-        }
-    }
 }
 
 impl SimConfig {
@@ -376,12 +323,6 @@ mod tests {
         assert_eq!(s.index, SpatialIndex::Grid);
         assert!((s.cell_factor - 1.0).abs() < 1e-12);
         assert_eq!(s.rebucket_interval, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn default_shards_is_the_sequential_path() {
-        assert_eq!(SimConfig::default().shards, 1);
-        assert_eq!(SimConfig::paper_multi_hop().shards, 1);
     }
 
     #[test]

@@ -1,27 +1,20 @@
 //! The deterministic event queue at the heart of the kernel.
 //!
-//! Two interchangeable implementations sit behind one contract — pops are
-//! ordered by `(time, insertion seq)` — selected at runtime by
-//! [`Scheduler`] (mirroring the spatial-index pattern of DESIGN.md §7):
-//!
-//! * [`TimerWheel`] — the hierarchical timer wheel of DESIGN.md §11; O(1)
-//!   amortized, the default.
-//! * [`HeapQueue`] — the original `BinaryHeap`; O(log n), kept as the
-//!   reference the wheel is differentially tested against. The
-//!   `heap-queue` cargo feature makes it the default so CI can also gate
-//!   digest equality across separately built binaries.
+//! Pops are ordered by `(time, insertion seq)`. Production builds have
+//! exactly one implementation, the hierarchical [`TimerWheel`] of
+//! DESIGN.md §11 (O(1) amortized). Test builds add `HeapQueue`, the
+//! original `BinaryHeap` (O(log n)), as the reference oracle the wheel is
+//! differentially tested against — queue by queue here, and whole world
+//! by whole world through `World::with_heap_queue`.
 //!
 //! The consuming API is `pop_until(horizon)` rather than peek + pop: a
 //! timer wheel cannot compute its exact minimum without cascading, and
 //! cascading must never advance the wheel clock past the kernel's run
 //! horizon (see `wheel.rs`).
 
-use crate::config::Scheduler;
 use crate::wheel::TimerWheel;
 use pds_core::SimTime;
 use pds_core::{NodeId, TimerId};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// What happens when an event fires.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,81 +50,22 @@ pub(crate) enum EventKind {
     FaultDeliver(u64),
 }
 
-#[derive(Debug)]
-struct QueuedEvent {
-    at: SimTime,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for QueuedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for QueuedEvent {}
-
-impl PartialOrd for QueuedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for QueuedEvent {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first; ties
-        // break by insertion sequence for determinism.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The reference binary-heap scheduler: earliest-time-first with
-/// insertion-`seq` tie-breaking.
-#[derive(Debug, Default)]
-pub(crate) struct HeapQueue {
-    heap: BinaryHeap<QueuedEvent>,
-    next_seq: u64,
-}
-
-impl HeapQueue {
-    fn push(&mut self, at: SimTime, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(QueuedEvent { at, seq, kind });
-    }
-
-    fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, EventKind)> {
-        if self.heap.peek()?.at > horizon {
-            return None;
-        }
-        self.heap.pop().map(|e| (e.at, e.kind))
-    }
-}
-
 /// A time-ordered, insertion-stable event queue.
 #[derive(Debug)]
 pub(crate) enum EventQueue {
     /// Hierarchical timer wheel (DESIGN.md §11).
     Wheel(TimerWheel<EventKind>),
-    /// Reference binary heap.
+    /// Reference binary heap (test builds only).
+    #[cfg(test)]
     Heap(HeapQueue),
 }
 
 impl EventQueue {
-    pub fn new(scheduler: Scheduler) -> Self {
-        match scheduler {
-            Scheduler::Wheel => Self::Wheel(TimerWheel::new()),
-            Scheduler::BinaryHeap => Self::Heap(HeapQueue::default()),
-        }
-    }
-
     /// Schedules `kind` at time `at`.
     pub fn push(&mut self, at: SimTime, kind: EventKind) {
         match self {
             Self::Wheel(w) => w.push(at, kind),
+            #[cfg(test)]
             Self::Heap(h) => h.push(at, kind),
         }
     }
@@ -141,6 +75,7 @@ impl EventQueue {
     pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, EventKind)> {
         match self {
             Self::Wheel(w) => w.pop_until(horizon),
+            #[cfg(test)]
             Self::Heap(h) => h.pop_until(horizon),
         }
     }
@@ -149,7 +84,8 @@ impl EventQueue {
     pub fn len(&self) -> usize {
         match self {
             Self::Wheel(w) => w.len(),
-            Self::Heap(h) => h.heap.len(),
+            #[cfg(test)]
+            Self::Heap(h) => h.len(),
         }
     }
 
@@ -160,9 +96,72 @@ impl EventQueue {
     }
 }
 
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self::new(Scheduler::default())
+#[cfg(test)]
+use oracle::HeapQueue;
+
+#[cfg(test)]
+mod oracle {
+    use super::EventKind;
+    use pds_core::SimTime;
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    #[derive(Debug)]
+    struct QueuedEvent {
+        at: SimTime,
+        seq: u64,
+        kind: EventKind,
+    }
+
+    impl PartialEq for QueuedEvent {
+        fn eq(&self, other: &Self) -> bool {
+            self.at == other.at && self.seq == other.seq
+        }
+    }
+    impl Eq for QueuedEvent {}
+
+    impl PartialOrd for QueuedEvent {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for QueuedEvent {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Reversed: BinaryHeap is a max-heap, we want earliest first; ties
+            // break by insertion sequence for determinism.
+            other
+                .at
+                .cmp(&self.at)
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+
+    /// The reference binary-heap scheduler: earliest-time-first with
+    /// insertion-`seq` tie-breaking.
+    #[derive(Debug, Default)]
+    pub(crate) struct HeapQueue {
+        heap: BinaryHeap<QueuedEvent>,
+        next_seq: u64,
+    }
+
+    impl HeapQueue {
+        pub(super) fn push(&mut self, at: SimTime, kind: EventKind) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(QueuedEvent { at, seq, kind });
+        }
+
+        pub(super) fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, EventKind)> {
+            if self.heap.peek()?.at > horizon {
+                return None;
+            }
+            self.heap.pop().map(|e| (e.at, e.kind))
+        }
+
+        pub(super) fn len(&self) -> usize {
+            self.heap.len()
+        }
     }
 }
 
@@ -177,8 +176,8 @@ mod tests {
 
     fn both() -> [EventQueue; 2] {
         [
-            EventQueue::new(Scheduler::Wheel),
-            EventQueue::new(Scheduler::BinaryHeap),
+            EventQueue::Wheel(TimerWheel::new()),
+            EventQueue::Heap(HeapQueue::default()),
         ]
     }
 

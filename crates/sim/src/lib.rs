@@ -65,7 +65,6 @@ mod digest;
 mod events;
 mod fault;
 mod radio;
-mod shard;
 mod slab;
 mod spatial;
 mod stats;
@@ -76,9 +75,7 @@ mod world;
 #[cfg(feature = "prof")]
 pub mod prof;
 
-pub use config::{
-    AckConfig, RadioConfig, Scheduler, SenderMode, SimConfig, SpatialConfig, SpatialIndex,
-};
+pub use config::{AckConfig, RadioConfig, SenderMode, SimConfig, SpatialConfig, SpatialIndex};
 pub use fault::{ChurnStorm, FaultPlan, PartitionWindow, SilenceWindow};
 pub use radio::Position;
 pub use stats::{EnergyModel, NodeStats, PhaseBytes, Stats};

@@ -279,11 +279,6 @@ impl<T> SeqSlab<T> {
         self.slots.get(self.index(*key)?)?.as_ref()
     }
 
-    #[cfg(test)]
-    pub fn contains_key(&self, key: &u64) -> bool {
-        self.get(key).is_some()
-    }
-
     /// Removes `key`, advancing the base past any leading vacated run so
     /// the ring stays proportional to the live window.
     pub fn remove(&mut self, key: &u64) -> Option<T> {
@@ -305,7 +300,7 @@ impl<T> SeqSlab<T> {
     }
 
     /// Values in ascending key order — the iteration order every f64
-    /// interference sum and shard work partition depends on.
+    /// interference sum depends on.
     pub fn values(&self) -> impl Iterator<Item = &T> {
         self.slots.iter().filter_map(Option::as_ref)
     }

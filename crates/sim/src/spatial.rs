@@ -33,7 +33,7 @@ use pds_det::DetMap;
 /// A grid cell coordinate (floor of position / cell size).
 type Cell = (i64, i64);
 
-pub(crate) fn cell_of(pos: Position, cell_m: f64) -> Cell {
+fn cell_of(pos: Position, cell_m: f64) -> Cell {
     // `as` saturates on overflow, so absurd coordinates stay well-defined.
     (
         (pos.x / cell_m).floor() as i64,
@@ -86,13 +86,6 @@ impl NodeGrid {
     /// Time of the last re-bucket.
     pub fn stamp(&self) -> SimTime {
         self.stamp
-    }
-
-    /// Fastest walking speed among motions still in progress at the last
-    /// re-bucket (an upper bound on every currently in-flight walker).
-    /// The shard executor uses it to pad cache-invalidation distances.
-    pub fn max_speed(&self) -> f64 {
-        self.max_speed
     }
 
     fn unlink(&mut self, id: NodeId, cell: Cell) {

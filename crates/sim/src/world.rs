@@ -5,7 +5,6 @@ use crate::config::{SenderMode, SimConfig, SpatialIndex};
 use crate::events::{EventKind, EventQueue};
 use crate::fault::{FaultPlan, FaultState};
 use crate::radio::{Frame, FrameKind, Motion, Position, Transmission};
-use crate::shard::{self, CachedVerdict, PhysArgs, PhysOutcome, PhysScratch};
 use crate::slab::{
     DenseTable, NodeTable, SeqSlab, FLAG_BUCKET_SCHEDULED, FLAG_MAC_SCHEDULED, FLAG_TRANSMITTING,
 };
@@ -49,6 +48,33 @@ enum TimerKind {
     App(u64),
     Retr(MessageId),
     AckSend(MessageId),
+}
+
+/// Physical receive verdict for one in-range receiver of a transmission.
+/// Everything that consumes randomness (baseline loss, fault rolls)
+/// happens later, on the commit path of [`World::tx_end`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PhysOutcome {
+    /// The receiver was transmitting an overlapping frame of its own.
+    HalfDuplex,
+    /// Interference beat the capture threshold at this receiver.
+    Collided,
+    /// Survived the physical layer; loss and fault rolls decide the rest.
+    Survivor,
+}
+
+/// Reusable candidate buffers for [`World::phys_verdicts`] — hot-path
+/// allocations otherwise.
+#[derive(Debug, Default)]
+struct PhysScratch {
+    /// Receiver candidates from the node grid.
+    cands_nodes: Vec<(NodeId, Motion)>,
+    /// Interferer candidates from the transmission grid.
+    cands_tx: Vec<TxEntry>,
+    /// Deduplicated receivers with evaluated positions.
+    receivers: Vec<(NodeId, Position)>,
+    /// Deduplicated interferers with start positions.
+    interferers: Vec<(NodeId, Position)>,
 }
 
 /// Cold per-node state, stored inline in the node slab. The hot
@@ -107,14 +133,14 @@ pub struct World {
     now: SimTime,
     queue: EventQueue,
     /// Dense node slab indexed by [`NodeId`], with the hot radio-phase
-    /// flags split into a parallel byte array (DESIGN.md §16). Iterates
+    /// flags split into a parallel byte array (DESIGN.md §15). Iterates
     /// ascending by id, exactly like the `BTreeMap` it replaced.
     nodes: NodeTable<NodeState>,
     /// Motions of all alive nodes, keyed identically to `nodes`. Kept
-    /// outside [`NodeState`] so shard workers can borrow positions as a
-    /// `Sync` snapshot while the (non-`Sync`) application boxes stay
-    /// behind. Dense and ascending, so brute-force receiver enumeration
-    /// iterates in the same ascending-id order as the node table.
+    /// outside [`NodeState`] so the verdict and neighbor scans walk a
+    /// compact table of positions instead of whole node states. Dense and
+    /// ascending, so brute-force receiver enumeration iterates in the same
+    /// ascending-id order as the node table.
     motions: DenseTable<Motion>,
     /// Active (and recently finished) transmissions, keyed by monotone tx
     /// id in a base-offset slab sized to the live window. Iterates in
@@ -137,7 +163,7 @@ pub struct World {
     tx_prune: TimerWheel<u64>,
     /// Reusable carrier-sense candidate buffer (avoids per-event allocs).
     cs_scratch: Vec<TxEntry>,
-    /// Reusable candidate buffers for inline physical-verdict computes.
+    /// Reusable candidate buffers for [`World::phys_verdicts`].
     phys_scratch: PhysScratch,
     /// Reusable verdict and delivery lists — hot-path allocations
     /// otherwise.
@@ -179,40 +205,10 @@ pub struct World {
     /// not part of [`Stats`] — it counts kernel work, not protocol
     /// outcomes.
     events_dispatched: u64,
-    /// Bumped on every node add/remove/move/teleport. Shard-round verdict
-    /// caches are valid only while the epoch they were computed under
-    /// still holds (DESIGN.md §15).
-    motion_epoch: u64,
-    /// Start time and position of every transmission begun since the last
-    /// verdict-cache drain (maintained only when `shards > 1`). Cached
-    /// verdicts record the log length at compute time; newer entries are
-    /// checked for possible overlap at commit.
-    tx_log: Vec<(SimTime, Position)>,
-    /// Absolute count of entries ever drained from `tx_log`, so cache
-    /// entries can hold absolute marks across log resets.
-    tx_log_base: u64,
-    /// Precomputed physical verdicts by transmission id (`shards > 1`
-    /// only). Entries are consumed (or discarded, if stale) by their own
-    /// `TxEnd` dispatch.
-    shard_cache: DetMap<u64, CachedVerdict>,
-    /// Dispatches since the last shard-round trigger check.
-    events_since_round: u32,
-    /// Shard rounds executed / verdicts committed from cache / cached
-    /// verdicts discarded as stale. Diagnostics like `events_dispatched`:
-    /// they count kernel work, not protocol outcomes, and the bench uses
-    /// them to prove the parallel path is actually exercised.
-    shard_rounds: u64,
-    shard_hits: u64,
-    shard_stale: u64,
     /// Running digest of the dispatched event stream (DESIGN.md §8).
     #[cfg(feature = "replay-digest")]
     digest: crate::digest::ReplayDigest,
 }
-
-/// How many dispatches between shard-round trigger checks. Purely a
-/// pacing knob: triggering (or not) never changes results, only whether
-/// `tx_end` finds its verdict precomputed.
-const ROUND_STRIDE: u32 = 64;
 
 impl World {
     /// Creates an empty world with the given configuration and random seed.
@@ -225,9 +221,20 @@ impl World {
     /// Panics if `radio.range_m × spatial.cell_factor` is not a positive
     /// finite cell size.
     #[must_use]
-    pub fn new(mut config: SimConfig, seed: u64) -> Self {
-        // shards == 0 makes no sense; treat it as the sequential path.
-        config.shards = config.shards.max(1);
+    pub fn new(config: SimConfig, seed: u64) -> Self {
+        Self::with_queue(config, seed, EventQueue::Wheel(TimerWheel::new()))
+    }
+
+    /// A world whose event queue is the reference binary heap instead of
+    /// the timer wheel: the test-only differential oracle (DESIGN.md §11).
+    /// Both queues pop in `(time, insertion seq)` order, so every run must
+    /// replay identically on either.
+    #[cfg(test)]
+    pub(crate) fn with_heap_queue(config: SimConfig, seed: u64) -> Self {
+        Self::with_queue(config, seed, EventQueue::Heap(Default::default()))
+    }
+
+    fn with_queue(config: SimConfig, seed: u64, mut queue: EventQueue) -> Self {
         let max_airtime = config.radio.frame_airtime(config.radio.max_frame_bytes);
         let cell_m = config.radio.range_m * config.spatial.cell_factor;
         // Carrier sense and (with a finite interference horizon) the
@@ -243,7 +250,6 @@ impl World {
             config.radio.cs_range_factor
         };
         let tx_cell_m = cell_m * tx_reach.max(1.0);
-        let mut queue = EventQueue::new(config.scheduler);
         queue.push(SimTime::ZERO + SWEEP_INTERVAL, EventKind::Sweep);
         Self {
             config,
@@ -276,14 +282,6 @@ impl World {
             sink: None,
             faults: None,
             events_dispatched: 0,
-            motion_epoch: 0,
-            tx_log: Vec::new(),
-            tx_log_base: 0,
-            shard_cache: DetMap::default(),
-            events_since_round: 0,
-            shard_rounds: 0,
-            shard_hits: 0,
-            shard_stale: 0,
             #[cfg(feature = "replay-digest")]
             digest: crate::digest::ReplayDigest::default(),
         }
@@ -397,15 +395,6 @@ impl World {
         self.events_dispatched
     }
 
-    /// Shard executor diagnostics: `(rounds, hits, stale)` — precompute
-    /// rounds run, verdicts committed straight from the cache, and cached
-    /// verdicts discarded because the world changed under them. All zero
-    /// when `shards == 1`. Purely observational; see DESIGN.md §15.
-    #[must_use]
-    pub fn shard_counters(&self) -> (u64, u64, u64) {
-        (self.shard_rounds, self.shard_hits, self.shard_stale)
-    }
-
     /// Traffic counters for one node, if alive.
     #[must_use]
     pub fn node_stats(&self, id: NodeId) -> Option<NodeStats> {
@@ -456,7 +445,6 @@ impl World {
         let motion = Motion::stationary(pos, self.now);
         self.node_grid.upsert(id, &motion, self.now);
         self.motions.insert(id, motion);
-        self.motion_epoch += 1;
         self.nodes.insert(id, state);
         self.queue.push(self.now, EventKind::Start(id));
         id
@@ -468,7 +456,6 @@ impl World {
     pub fn remove_node(&mut self, id: NodeId) {
         self.nodes.remove(&id);
         self.motions.remove(&id);
-        self.motion_epoch += 1;
         self.node_grid.remove(id);
     }
 
@@ -508,7 +495,6 @@ impl World {
             speed_mps,
         };
         *cur = motion;
-        self.motion_epoch += 1;
         self.node_grid.upsert(id, &motion, now);
     }
 
@@ -520,7 +506,6 @@ impl World {
         };
         let motion = Motion::stationary(pos, now);
         *cur = motion;
-        self.motion_epoch += 1;
         self.node_grid.upsert(id, &motion, now);
     }
 
@@ -637,9 +622,6 @@ impl World {
         while let Some((at, kind)) = self.pop_event(horizon) {
             self.now = at.max(self.now);
             self.refresh_node_grid();
-            if self.config.shards > 1 {
-                self.maybe_shard_round();
-            }
             self.dispatch(kind);
         }
         self.now = self.now.max(horizon);
@@ -677,135 +659,6 @@ impl World {
         #[cfg(feature = "prof")]
         let _t = crate::prof::ScopeTimer::start(crate::prof::SCOPE_GRID);
         node_grid.rebucket(now, |id| motions.get(&id).copied());
-    }
-
-    // ---- shard rounds: precompute physical verdicts (DESIGN.md §15) ------
-
-    /// Every [`ROUND_STRIDE`] dispatches, looks for transmissions ending
-    /// inside the lookahead window without a cached verdict; if there is
-    /// at least one per shard, runs a concurrent precompute round. Purely
-    /// a scheduling decision — results are identical whether or not a
-    /// round runs, because `tx_end` validates every cached verdict against
-    /// the current state fingerprint before using it.
-    fn maybe_shard_round(&mut self) {
-        self.events_since_round += 1;
-        if self.events_since_round < ROUND_STRIDE {
-            return;
-        }
-        self.events_since_round = 0;
-        if self.shard_cache.is_empty() {
-            // Every cached verdict is consumed or discarded by its own
-            // `TxEnd`, all of which lie inside the previous window — so an
-            // empty cache means no entry can reference the start log, and
-            // it can drain.
-            self.tx_log_base += self.tx_log.len() as u64;
-            self.tx_log.clear();
-        }
-        let now = self.now;
-        let window_end = now + shard::lookahead(&self.config.radio);
-        let pending = self
-            .transmissions
-            .values()
-            .filter(|t| t.end > now && t.end <= window_end && !self.shard_cache.contains_key(&t.id))
-            .count();
-        if pending < self.config.shards as usize {
-            return;
-        }
-        self.shard_rounds += 1;
-        self.run_shard_round(window_end);
-    }
-
-    /// Partitions the pending window transmissions into column stripes
-    /// and computes their physical verdicts on scoped worker threads.
-    /// Workers only read a frozen `Sync` snapshot; all results enter the
-    /// cache on this thread, tagged with the state fingerprint they were
-    /// computed under.
-    fn run_shard_round(&mut self, window_end: SimTime) {
-        let shards = self.config.shards;
-        let cell_m = self.config.radio.range_m * self.config.spatial.cell_factor;
-        let epoch = self.motion_epoch;
-        let log_mark = self.tx_log_base + self.tx_log.len() as u64;
-        let pad_m = self.node_grid.max_speed() * shard::lookahead(&self.config.radio).as_secs_f64();
-        let now = self.now;
-        let mut work: Vec<Vec<u64>> = vec![Vec::new(); shards as usize];
-        for t in self.transmissions.values() {
-            if t.end > now && t.end <= window_end && !self.shard_cache.contains_key(&t.id) {
-                let s = shard::shard_of(t.start_pos, cell_m, shards) as usize;
-                if let Some(bucket) = work.get_mut(s) {
-                    bucket.push(t.id);
-                }
-            }
-        }
-        let Self {
-            config,
-            motions,
-            transmissions,
-            tx_by_sender,
-            node_grid,
-            tx_grid,
-            shard_cache,
-            ..
-        } = self;
-        let args = PhysArgs {
-            config,
-            motions,
-            transmissions,
-            tx_by_sender: tx_by_sender.as_slice(),
-            node_grid,
-            tx_grid,
-        };
-        for batch in shard::compute_sharded(&args, &work) {
-            for (id, verdicts) in batch {
-                shard_cache.insert(
-                    id,
-                    CachedVerdict {
-                        epoch,
-                        log_mark,
-                        pad_m,
-                        verdicts,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Whether a precomputed verdict still describes current world state:
-    /// the motion epoch is unchanged (no node add/remove/move/teleport
-    /// since the round) and no transmission started since the round that
-    /// could overlap `tx` at any of its receivers — i.e. started before
-    /// `tx.end` and within the interference-plus-range horizon of the
-    /// sender, padded by the walker drift bound for the half-duplex case.
-    fn verdict_still_valid(&self, entry: &CachedVerdict, tx: &Transmission) -> bool {
-        if entry.epoch != self.motion_epoch {
-            return false;
-        }
-        let Some(from) = entry.log_mark.checked_sub(self.tx_log_base) else {
-            return false; // log drained past the mark; be conservative
-        };
-        let Ok(from) = usize::try_from(from) else {
-            return false;
-        };
-        let Some(newer) = self.tx_log.get(from..) else {
-            return false;
-        };
-        if newer.is_empty() {
-            return true;
-        }
-        let range = self.config.radio.range_m;
-        let trunc = range * self.config.radio.interference_range_factor;
-        if !trunc.is_finite() {
-            // Unbounded interference horizon: any new overlapping
-            // transmission anywhere can change the verdict.
-            return !newer.iter().any(|&(start, _)| start < tx.end);
-        }
-        // `trunc + range` covers interference at any in-range receiver
-        // (triangle inequality); `range + pad` covers a receiver whose own
-        // new transmission creates a half-duplex conflict, allowing for
-        // its drift between the new start and `tx.end`.
-        let bound = (trunc + range).max(range + entry.pad_m);
-        !newer
-            .iter()
-            .any(|&(start, pos)| start < tx.end && pos.distance(&tx.start_pos) <= bound)
     }
 
     /// Runs for `span` beyond the current time.
@@ -1281,11 +1134,6 @@ impl World {
         }
         self.tx_prune.push(now + duration, tx_id);
         self.queue.push(now + duration, EventKind::TxEnd(tx_id));
-        if self.config.shards > 1 {
-            // Shard-cache invalidation input: verdicts computed before
-            // this start must re-check overlap against it at commit.
-            self.tx_log.push((now, pos));
-        }
         if self.sink.is_some() {
             self.emit(
                 id.0,
@@ -1302,6 +1150,123 @@ impl World {
     }
 
     // ---- transmission end: delivery --------------------------------------
+
+    /// Computes the physical receive verdicts of `tx`, evaluated at its end
+    /// time, into `out` in ascending receiver-id order: half-duplex,
+    /// collided, or survivor. Pure over world state — every random draw
+    /// (baseline loss, fault rolls) happens afterwards, on the commit path
+    /// in [`World::tx_end`].
+    ///
+    /// Same candidate enumeration per [`SpatialIndex`] mode, same
+    /// sort/dedup, same exact-range filters, and the same f64 interference
+    /// summation order in both modes — so grid and brute-force runs
+    /// produce bit-identical verdicts.
+    fn phys_verdicts(
+        &self,
+        tx: &Transmission,
+        out: &mut Vec<(NodeId, PhysOutcome)>,
+        scratch: &mut PhysScratch,
+    ) {
+        // `tx_end` dispatches exactly at the transmission's end time, so every
+        // position below is evaluated at `tx.end`.
+        let at = tx.end;
+        let radio = &self.config.radio;
+        let range = radio.range_m;
+        let tx_pos = tx.start_pos;
+        // Candidates must come out ascending by id in both index modes: the
+        // per-receiver rng rolls at commit consume the shared stream, so
+        // receiver *order* is part of the replay contract.
+        let receivers = &mut scratch.receivers;
+        receivers.clear();
+        match self.config.spatial.index {
+            SpatialIndex::BruteForce => receivers.extend(
+                self.motions
+                    .iter()
+                    .filter(|&(r, _)| r != tx.sender)
+                    .map(|(r, m)| (r, m.position(at))),
+            ),
+            SpatialIndex::Grid => {
+                let cands = &mut scratch.cands_nodes;
+                cands.clear();
+                self.node_grid.query_into(tx_pos, range, at, cands);
+                cands.sort_unstable_by_key(|&(r, _)| r);
+                cands.dedup_by_key(|&mut (r, _)| r);
+                receivers.extend(
+                    cands
+                        .iter()
+                        .filter(|&&(r, _)| r != tx.sender)
+                        .map(|&(r, m)| (r, m.position(at))),
+                );
+            }
+        }
+        let path_loss = radio.path_loss_exp;
+        let capture = radio.capture_sinr;
+        let trunc = range * radio.interference_range_factor;
+        // Received power at distance d, with a 1 m reference floor.
+        let power = |d: f64| d.max(1.0).powf(-path_loss);
+        // Everything that could interfere with this frame at *some* receiver,
+        // in ascending id order (f64 addition is not associative; the exact
+        // per-receiver sum order is part of the replay contract).
+        let keep = |t: &Transmission| {
+            t.id != tx.id && t.sender != tx.sender && t.overlaps(tx.start, tx.end)
+        };
+        let interferers = &mut scratch.interferers;
+        interferers.clear();
+        if self.config.spatial.index == SpatialIndex::Grid && trunc.is_finite() {
+            let cands = &mut scratch.cands_tx;
+            cands.clear();
+            self.tx_grid.query_into(tx_pos, trunc + range, cands);
+            cands.sort_unstable_by_key(|t| t.id);
+            cands.dedup_by_key(|t| t.id);
+            interferers.extend(
+                cands
+                    .iter()
+                    .filter(|t| {
+                        t.id != tx.id
+                            && t.sender != tx.sender
+                            && t.start < tx.end
+                            && tx.start < t.end
+                    })
+                    .map(|t| (t.sender, t.pos)),
+            );
+        } else {
+            interferers.extend(
+                self.transmissions
+                    .values()
+                    .filter(|t| keep(t))
+                    .map(|t| (t.sender, t.start_pos)),
+            );
+        }
+        for &(r, rpos) in scratch.receivers.iter() {
+            if tx_pos.distance(&rpos) > range {
+                continue;
+            }
+            let half_duplex = self.tx_by_sender.get(r.0 as usize).is_some_and(|ids| {
+                ids.iter().any(|tid| {
+                    self.transmissions
+                        .get(tid)
+                        .is_some_and(|t| t.overlaps(tx.start, tx.end))
+                })
+            });
+            if half_duplex {
+                out.push((r, PhysOutcome::HalfDuplex));
+                continue;
+            }
+            let interference: f64 = scratch
+                .interferers
+                .iter()
+                .filter(|&&(s, _)| s != r)
+                .map(|&(_, p)| p.distance(&rpos))
+                .filter(|&d| d <= trunc)
+                .map(power)
+                .sum();
+            if interference > 0.0 && power(tx_pos.distance(&rpos)) < capture * interference {
+                out.push((r, PhysOutcome::Collided));
+                continue;
+            }
+            out.push((r, PhysOutcome::Survivor));
+        }
+    }
 
     fn tx_end(&mut self, tx_id: u64) {
         let now = self.now;
@@ -1329,41 +1294,12 @@ impl World {
             );
         }
 
-        // Physical verdicts: consume the precomputed shard verdict when
-        // its state fingerprint still holds, otherwise compute inline.
-        // Both paths run the same pure function over the same state
-        // (`shard::phys_verdicts`), so the verdict list — and with it
-        // every downstream rng draw, stat and emission — is identical at
-        // any shard count.
+        // Physical verdicts first (no randomness), then the commit below.
         let mut verdicts = std::mem::take(&mut self.vd_scratch);
         verdicts.clear();
-        let cached = if self.config.shards > 1 {
-            self.shard_cache.remove(&tx_id)
-        } else {
-            None
-        };
-        match cached {
-            Some(entry) if self.verdict_still_valid(&entry, &tx) => {
-                self.shard_hits += 1;
-                verdicts.extend_from_slice(&entry.verdicts);
-            }
-            cached => {
-                if cached.is_some() {
-                    self.shard_stale += 1;
-                }
-                let mut scratch = std::mem::take(&mut self.phys_scratch);
-                let args = PhysArgs {
-                    config: &self.config,
-                    motions: &self.motions,
-                    transmissions: &self.transmissions,
-                    tx_by_sender: &self.tx_by_sender,
-                    node_grid: &self.node_grid,
-                    tx_grid: &self.tx_grid,
-                };
-                shard::phys_verdicts(&args, &tx, &mut verdicts, &mut scratch);
-                self.phys_scratch = scratch;
-            }
-        }
+        let mut scratch = std::mem::take(&mut self.phys_scratch);
+        self.phys_verdicts(&tx, &mut verdicts, &mut scratch);
+        self.phys_scratch = scratch;
         // Commit: in-range receivers in ascending id order. The
         // per-receiver baseline-loss rolls below consume the shared rng
         // stream, so verdict *order* is part of the replay contract.
@@ -2035,31 +1971,41 @@ mod tests {
         assert_eq!(w.neighbors(a), [b, c]);
     }
 
+    /// The mixed scenario the differential tests share: lossy chatter
+    /// between two blasters, a walker crossing it, and churn mid-run.
+    /// Returns the world after an 8 s run.
+    fn mixed_scenario(mut w: World) -> World {
+        w.add_node(
+            Position::new(0.0, 0.0),
+            Box::new(Blaster::new(40, 1200, vec![NodeId(1)])),
+        );
+        let b = w.add_node(Position::new(30.0, 0.0), Box::new(Sink::new()));
+        w.add_node(
+            Position::new(60.0, 30.0),
+            Box::new(Blaster::new(40, 900, vec![])),
+        );
+        let far = w.add_node(Position::new(400.0, 0.0), Box::new(Sink::new()));
+        w.move_node(far, Position::new(0.0, 0.0), 40.0);
+        w.schedule(secs(2.0), move |w| w.remove_node(b));
+        w.schedule(secs(3.0), |w| {
+            w.add_node(Position::new(20.0, 20.0), Box::new(Sink::new()));
+        });
+        w.run_until(secs(8.0));
+        w
+    }
+
+    fn mixed_config(index: SpatialIndex, rebucket_ms: u64) -> SimConfig {
+        let mut c = SimConfig::default();
+        c.radio.baseline_loss = 0.1;
+        c.spatial.index = index;
+        c.spatial.rebucket_interval = SimDuration::from_millis(rebucket_ms);
+        c
+    }
+
     #[test]
     fn grid_and_brute_force_replay_identically() {
         let run = |index: SpatialIndex, rebucket_ms: u64| {
-            let mut c = SimConfig::default();
-            c.radio.baseline_loss = 0.1;
-            c.spatial.index = index;
-            c.spatial.rebucket_interval = SimDuration::from_millis(rebucket_ms);
-            let mut w = World::new(c, 42);
-            w.add_node(
-                Position::new(0.0, 0.0),
-                Box::new(Blaster::new(40, 1200, vec![NodeId(1)])),
-            );
-            let b = w.add_node(Position::new(30.0, 0.0), Box::new(Sink::new()));
-            w.add_node(
-                Position::new(60.0, 30.0),
-                Box::new(Blaster::new(40, 900, vec![])),
-            );
-            let far = w.add_node(Position::new(400.0, 0.0), Box::new(Sink::new()));
-            // A walker crossing the chatter, plus churn mid-run.
-            w.move_node(far, Position::new(0.0, 0.0), 40.0);
-            w.schedule(secs(2.0), move |w| w.remove_node(b));
-            w.schedule(secs(3.0), |w| {
-                w.add_node(Position::new(20.0, 20.0), Box::new(Sink::new()));
-            });
-            w.run_until(secs(8.0));
+            let w = mixed_scenario(World::new(mixed_config(index, rebucket_ms), 42));
             w.stats().clone()
         };
         let brute = run(SpatialIndex::BruteForce, 0);
@@ -2068,46 +2014,6 @@ mod tests {
         // results must not change either way.
         assert_eq!(run(SpatialIndex::Grid, 500), brute);
         assert!(brute.frames_delivered > 0);
-    }
-
-    #[test]
-    fn sharded_stepping_is_invisible_and_actually_parallel() {
-        // The shard gate without the replay-digest feature: outcomes must
-        // be bit-identical at any shard count, and — to keep the gate
-        // non-vacuous — the sharded runs must actually commit verdicts
-        // from the concurrent cache, not fall back to inline recompute.
-        let run = |shards: u32| {
-            let mut c = SimConfig::default();
-            c.radio.baseline_loss = 0.05;
-            c.radio.interference_range_factor = 4.0;
-            c.shards = shards;
-            let mut w = World::new(c, 11);
-            // Cluster pairs strung along x, chattering in step so several
-            // transmissions are always in flight at once.
-            for i in 0..12u32 {
-                let x = f64::from(i) * 400.0;
-                w.add_node(
-                    Position::new(x, 0.0),
-                    Box::new(Blaster::new(60, 700, vec![])),
-                );
-                w.add_node(Position::new(x + 25.0, 0.0), Box::new(Sink::new()));
-            }
-            w.run_until(secs(4.0));
-            let (rounds, hits, _stale) = w.shard_counters();
-            (w.stats().clone(), rounds, hits)
-        };
-        let (seq, rounds0, hits0) = run(1);
-        assert!(seq.frames_delivered > 0);
-        assert_eq!((rounds0, hits0), (0, 0), "sequential path must not shard");
-        for shards in [2u32, 4, 8] {
-            let (stats, rounds, hits) = run(shards);
-            assert_eq!(stats, seq, "shards={shards} changed outcomes");
-            assert!(
-                rounds > 0 && hits > 0,
-                "shards={shards} never exercised the verdict cache \
-                 (rounds={rounds}, hits={hits})"
-            );
-        }
     }
 
     #[test]
@@ -2239,5 +2145,171 @@ mod tests {
         assert_eq!(w.now(), secs(3.0));
         w.run_for(SimDuration::from_secs(2));
         assert_eq!(w.now(), secs(5.0));
+    }
+
+    // ---- wheel vs heap: the test-only scheduler oracle (DESIGN.md §11) ----
+
+    /// A plan exercising every wire-level fault class: extra drops,
+    /// duplicated and delayed (reordered) deliveries, a healing partition
+    /// and a byzantine-silent window.
+    fn adversarial_plan(seed: u64) -> FaultPlan {
+        let mut p = FaultPlan::none(seed);
+        p.drop_prob = 0.05;
+        p.dup_prob = 0.04;
+        p.delay_prob = 0.04;
+        p.delay_max = SimDuration::from_millis(80);
+        p.partitions.push(crate::PartitionWindow {
+            from: secs(0.05),
+            until: secs(0.2),
+            boundary: 2,
+        });
+        p.silences.push(crate::SilenceWindow {
+            node: 2,
+            from: secs(0.3),
+            until: secs(0.5),
+        });
+        p
+    }
+
+    /// The mixed scenario on the timer wheel and on the reference heap,
+    /// under both spatial indexes (lazy re-bucketing in play for brute
+    /// force), with `plan` installed. Returns the wheel/heap world pairs.
+    fn wheel_and_heap_runs(plan: Option<&FaultPlan>) -> Vec<(World, World)> {
+        let install_plan = |w: &mut World| {
+            if let Some(plan) = plan {
+                w.install_faults(plan.clone());
+            }
+        };
+        [(SpatialIndex::Grid, 0), (SpatialIndex::BruteForce, 500)]
+            .into_iter()
+            .map(|(index, rebucket_ms)| {
+                let c = mixed_config(index, rebucket_ms);
+                let mut wheel = World::new(c.clone(), 42);
+                let mut heap = World::with_heap_queue(c, 42);
+                install_plan(&mut wheel);
+                install_plan(&mut heap);
+                (mixed_scenario(wheel), mixed_scenario(heap))
+            })
+            .collect()
+    }
+
+    /// Asserts a wheel world and a heap world replayed identically: every
+    /// counter, and under the `replay-digest` feature the digest too.
+    fn assert_same_replay(wheel: &World, heap: &World) {
+        #[cfg(feature = "replay-digest")]
+        assert_eq!(
+            wheel.replay_digest(),
+            heap.replay_digest(),
+            "wheel and heap replay streams diverged"
+        );
+        assert_eq!(wheel.stats(), heap.stats());
+    }
+
+    #[test]
+    fn replay_digest_is_identical_across_schedulers() {
+        // The scheduler is an implementation detail, so the dispatched
+        // event stream — and with it the digest and every counter — must
+        // be bit-identical on the wheel and on the heap.
+        for (wheel, heap) in wheel_and_heap_runs(None) {
+            assert!(
+                wheel.stats().frames_delivered > 0,
+                "scenario must exchange traffic"
+            );
+            assert_same_replay(&wheel, &heap);
+        }
+    }
+
+    #[test]
+    fn faulted_digest_is_identical_across_schedulers() {
+        // A (seed, plan) pair is a complete replay token on either queue.
+        let plan = adversarial_plan(7);
+        for (wheel, heap) in wheel_and_heap_runs(Some(&plan)) {
+            let stats = wheel.stats();
+            assert!(
+                stats.frames_fault_cut > 0
+                    && stats.frames_fault_dropped > 0
+                    && stats.frames_fault_delayed > 0
+                    && stats.frames_fault_duplicated > 0,
+                "plan must actually bite: {stats:?}"
+            );
+            assert_same_replay(&wheel, &heap);
+        }
+    }
+
+    /// Broadcasts a 64-byte beacon every `period_ms`.
+    struct Chatter {
+        period_ms: u64,
+    }
+    impl Application for Chatter {
+        fn on_start(&mut self, ctx: &mut Context) {
+            ctx.set_timer(SimDuration::from_millis(self.period_ms), 0);
+        }
+        fn on_message(&mut self, _: &mut Context, _: MessageMeta, _: Bytes) {}
+        fn on_timer(&mut self, ctx: &mut Context, _tag: u64) {
+            ctx.broadcast(Bytes::from_static(&[7u8; 64]), &[]);
+            ctx.set_timer(SimDuration::from_millis(self.period_ms), 0);
+        }
+    }
+
+    /// Fault-plan parameters for the scheduler proptest: plan seed, drop,
+    /// duplicate and delay probabilities in ppm, partition boundary.
+    type PlanParams = (u64, u32, u32, u32, u32);
+
+    fn plan_from(p: PlanParams) -> FaultPlan {
+        let (seed, drop_ppm, dup_ppm, delay_ppm, boundary) = p;
+        let mut plan = FaultPlan::none(seed);
+        plan.drop_prob = f64::from(drop_ppm) / 1e6;
+        plan.dup_prob = f64::from(dup_ppm) / 1e6;
+        plan.delay_prob = f64::from(delay_ppm) / 1e6;
+        plan.delay_max = SimDuration::from_millis(120);
+        plan.partitions.push(crate::PartitionWindow {
+            from: secs(0.2),
+            until: secs(0.7),
+            boundary,
+        });
+        plan
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(16))]
+
+        /// Random dense-contention scenarios, with or without a biting
+        /// fault plan, must produce identical statistics (and, under the
+        /// `replay-digest` feature, identical digests) whichever queue
+        /// backs the kernel — the whole-world analogue of
+        /// `wheel_and_heap_pop_identical_streams`.
+        #[test]
+        fn scheduler_choice_never_changes_simulation_results(
+            seed in proptest::arbitrary::any::<u64>(),
+            coords in proptest::collection::vec((0.0f64..150.0, 0.0f64..150.0), 3..10),
+            period_ms in 8u64..30,
+            plan in proptest::option::of((
+                proptest::arbitrary::any::<u64>(),
+                0u32..150_001,
+                0u32..80_001,
+                0u32..80_001,
+                1u32..6,
+            )),
+        ) {
+            let run = |mut w: World| {
+                if let Some(p) = plan {
+                    w.install_faults(plan_from(p));
+                }
+                for &(x, y) in &coords {
+                    w.add_node(Position::new(x, y), Box::new(Chatter { period_ms }));
+                }
+                w.run_until(secs(1.2));
+                #[cfg(feature = "replay-digest")]
+                let digest = Some(w.replay_digest());
+                #[cfg(not(feature = "replay-digest"))]
+                let digest: Option<u64> = None;
+                (w.stats().clone(), digest)
+            };
+            let config = SimConfig::default();
+            proptest::prop_assert_eq!(
+                run(World::new(config.clone(), seed)),
+                run(World::with_heap_queue(config, seed))
+            );
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Fixture: the slab/SoA kernel storage idiom (DESIGN.md §16) the memory
+//! Fixture: the slab/SoA kernel storage idiom (DESIGN.md §15) the memory
 //! diet steers hot paths toward. Dense `Vec<Option<T>>` slabs indexed by
 //! a monotone id use checked `.get()` access — never slice indexing or
 //! `.unwrap()` — so a stale handle is a `None` miss, not a panic; the

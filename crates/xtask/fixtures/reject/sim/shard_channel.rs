@@ -1,7 +1,8 @@
-//! Fixture: a shard-executor-shaped worker pool WITHOUT the audit pragma
-//! must still be rejected — the exemption is per-site, not a blanket
-//! license for threads in the kernel. Channels are caught too: mpsc
-//! receive order depends on host scheduling.
+//! Fixture: a scoped worker pool fanning results back over a channel
+//! inside the simulation kernel must be rejected. The kernel runs one
+//! world on one thread; parallelism lives only in pds-bench's sweep
+//! executor, across whole worlds. The channel is caught as well as the
+//! threads: mpsc receive order depends on host scheduling.
 
 fn round(work: &[Vec<u64>]) -> Vec<u64> {
     let (tx, rx) = std::sync::mpsc::channel();

@@ -144,13 +144,24 @@ fn entropy_fixture_flags_thread_rng_and_from_entropy() {
 
 #[test]
 fn thread_fixtures_cover_sim_and_dst_but_not_bench() {
-    for rel in ["reject/sim/thread.rs", "reject/dst/thread.rs"] {
+    for rel in [
+        "reject/sim/thread.rs",
+        "reject/sim/shard_channel.rs",
+        "reject/dst/thread.rs",
+    ] {
         let (findings, _) = lint_fixture(Path::new(rel));
         assert!(
             errors(&findings).iter().any(|d| d.rule == "thread-pool"),
             "{rel} should be caught"
         );
     }
+    // Channels are caught too: mpsc receive order depends on host
+    // scheduling.
+    let (findings, _) = lint_fixture(Path::new("reject/sim/shard_channel.rs"));
+    assert!(
+        errors(&findings).iter().any(|d| d.message.contains("mpsc")),
+        "channels are scheduling-order-dependent too: {findings:#?}"
+    );
     let (findings, _) = lint_fixture(Path::new("accept/bench/pool.rs"));
     assert!(errors(&findings).is_empty(), "bench pool is exempt");
 }
@@ -211,33 +222,9 @@ fn audited_panic_pragma_becomes_a_ratcheted_exemption() {
 }
 
 #[test]
-fn audited_shard_executor_pragma_becomes_a_ratcheted_exemption() {
-    // The accept fixture mirrors crates/sim/src/shard.rs: scoped threads
-    // under a `thread-pool` pragma whose audit reason the ratchet pins.
-    let (findings, exemptions) = lint_fixture(Path::new("accept/sim/shard_scope.rs"));
-    assert!(errors(&findings).is_empty(), "{findings:#?}");
-    assert_eq!(exemptions.len(), 1, "{exemptions:#?}");
-    assert_eq!(exemptions[0].rule, "thread-pool");
-    assert!(
-        exemptions[0].reason.contains("frozen snapshot"),
-        "{}",
-        exemptions[0].reason
-    );
-    // The same executor shape without the pragma is still rejected — the
-    // exemption is per-site, not a blanket license for sim threads.
-    let (findings, _) = lint_fixture(Path::new("reject/sim/shard_channel.rs"));
-    let errs = errors(&findings);
-    assert!(errs.iter().any(|d| d.rule == "thread-pool"), "{errs:#?}");
-    assert!(
-        errs.iter().any(|d| d.message.contains("mpsc")),
-        "channels are scheduling-order-dependent too: {errs:#?}"
-    );
-}
-
-#[test]
 fn slab_fixture_needs_no_exemptions() {
     // The memory-diet slab idiom (checked `.get()` access, `?`-chained
-    // SoA borrows — DESIGN.md §16) lints clean without a single audited
+    // SoA borrows — DESIGN.md §15) lints clean without a single audited
     // pragma: it is panic-free by construction, not by exemption.
     let (findings, exemptions) = lint_fixture(Path::new("accept/sim/slab_table.rs"));
     assert!(errors(&findings).is_empty(), "{findings:#?}");

@@ -483,7 +483,7 @@ proptest! {
 // a `(time, insertion-seq)`-keyed binary heap pops, under any interleaving
 // of pushes and horizon-bounded pop phases.
 
-use pds_sim::{Scheduler, TimerWheel};
+use pds_sim::TimerWheel;
 
 /// One step of interleaved queue traffic: push offsets (µs past the
 /// current pop frontier — the kernel never schedules into the past) and a
@@ -563,161 +563,14 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// End-to-end: random dense-contention scenarios must produce
-    /// identical statistics whichever scheduler backs the kernel queue —
-    /// the whole-simulator analogue of the pop-stream property above.
-    #[test]
-    fn scheduler_choice_never_changes_simulation_results(
-        seed in any::<u64>(),
-        coords in proptest::collection::vec((0.0f64..150.0, 0.0f64..150.0), 3..10),
-        period_ms in 8u64..30,
-    ) {
-        let run = |scheduler: Scheduler| {
-            let config = SimConfig {
-                scheduler,
-                ..Default::default()
-            };
-            let mut w = World::new(config, seed);
-            for &(x, y) in &coords {
-                w.add_node(Position::new(x, y), Box::new(SimChatter { period_ms }));
-            }
-            w.run_until(SimTime::from_secs_f64(1.2));
-            w.stats().clone()
-        };
-        prop_assert_eq!(run(Scheduler::Wheel), run(Scheduler::BinaryHeap));
-    }
-}
-
-// ---- sharded stepping equivalence -----------------------------------------
-//
-// `SimConfig::shards` partitions the arena into grid-column stripes whose
-// physical verdicts are precomputed concurrently within a conservative
-// lookahead window (DESIGN.md §15). Like the spatial grid and the timer
-// wheel, the shard executor is an *index*, not an approximation: for any
-// shard count the statistics (and, under the `replay-digest` feature, the
-// event-stream digest) must be bit-identical to the sequential path —
-// including under motion, churn, and an installed fault plan.
-
-/// Runs a random scenario at a given shard count and returns everything
-/// observable: aggregate stats, per-node stats in id order, and the replay
-/// digest when the feature is on (`None` otherwise, so comparisons stay
-/// vacuously true rather than silently weaker).
-fn sharded_run(
-    plans: &[NodePlan],
-    seed: u64,
-    shards: u32,
-    plan: Option<pds_sim::FaultPlan>,
-) -> (pds_sim::Stats, Vec<pds_sim::NodeStats>, Option<u64>) {
-    let mut config = SimConfig::default();
-    config.radio.baseline_loss = 0.05;
-    config.radio.interference_range_factor = 4.0;
-    config.shards = shards;
-    let mut w = World::new(config, seed);
-    if let Some(plan) = plan {
-        w.install_faults(plan);
-    }
-    let ids: Vec<_> = plans
-        .iter()
-        .map(|&((x, y), _, _, _, period)| {
-            w.add_node(
-                Position::new(x, y),
-                Box::new(SimChatter { period_ms: period }),
-            )
-        })
-        .collect();
-    for (&(_, (dx, dy), speed, flags, _), &id) in plans.iter().zip(&ids) {
-        if flags & 1 != 0 {
-            w.move_node(id, Position::new(dx, dy), speed);
-        }
-    }
-    w.run_until(SimTime::from_secs_f64(0.8));
-    // Churn the flagged nodes out mid-run: cache invalidation must track
-    // the epoch bump, not just positions.
-    for (&(_, _, _, flags, _), &id) in plans.iter().zip(&ids) {
-        if flags & 2 != 0 {
-            w.remove_node(id);
-        }
-    }
-    w.run_until(SimTime::from_secs_f64(1.6));
-    let per_node = ids
-        .iter()
-        .filter_map(|&id| w.node_stats(id))
-        .collect::<Vec<_>>();
-    #[cfg(feature = "replay-digest")]
-    let digest = Some(w.replay_digest());
-    #[cfg(not(feature = "replay-digest"))]
-    let digest = None;
-    (w.stats().clone(), per_node, digest)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Any random scenario stepped at shards ∈ {2, 4, 8} must be
-    /// observationally identical to the sequential path (shards = 1).
-    #[test]
-    fn shard_count_never_changes_simulation_results(
-        seed in any::<u64>(),
-        plans in node_plans(14),
-    ) {
-        let base = sharded_run(&plans, seed, 1, None);
-        for shards in [2u32, 4, 8] {
-            let run = sharded_run(&plans, seed, shards, None);
-            prop_assert_eq!(&run, &base, "shards={} diverged", shards);
-        }
-    }
-
-    /// Same property with a biting fault plan installed: probabilistic
-    /// drops/dups/delays draw from the plan's own rng stream, and a
-    /// partition plus a silence window cut deliveries mid-flight. The
-    /// shard executor must not perturb any of those draws' order.
-    #[test]
-    fn shard_count_never_changes_faulty_runs(
-        seed in any::<u64>(),
-        plan_seed in any::<u64>(),
-        plans in node_plans(10),
-        drop_ppm in 0u32..150_001,
-        dup_ppm in 0u32..80_001,
-        delay_ppm in 0u32..80_001,
-        boundary in 1u32..6,
-    ) {
-        let plan = pds_sim::FaultPlan {
-            seed: plan_seed,
-            drop_prob: f64::from(drop_ppm) / 1e6,
-            dup_prob: f64::from(dup_ppm) / 1e6,
-            delay_prob: f64::from(delay_ppm) / 1e6,
-            delay_max: SimDuration::from_millis(120),
-            partitions: vec![pds_sim::PartitionWindow {
-                from: SimTime::from_micros(200_000),
-                until: SimTime::from_micros(700_000),
-                boundary,
-            }],
-            silences: vec![pds_sim::SilenceWindow {
-                node: 0,
-                from: SimTime::from_micros(900_000),
-                until: SimTime::from_micros(1_200_000),
-            }],
-            storms: Vec::new(),
-        };
-        let base = sharded_run(&plans, seed, 1, Some(plan.clone()));
-        for shards in [2u32, 4, 8] {
-            let run = sharded_run(&plans, seed, shards, Some(plan.clone()));
-            prop_assert_eq!(&run, &base, "shards={} diverged under faults", shards);
-        }
-    }
-}
-
 // ---- city-scale slab digest pin ---------------------------------------------
 //
-// PR 10 replaces the kernel's `BTreeMap<NodeId, NodeState>` world storage
-// with a dense slab + SoA split and puts the transport's reassembly state
-// on a memory diet. The digest below was captured from the *pre-diet*
-// kernel on the scenario in `slab_world_replays_pre_diet_digest_at_n1000`;
-// the slab-backed world must reproduce it bit-for-bit, sequentially and
-// sharded, or the refactor changed observable behavior.
+// The kernel's world storage is a dense slab + SoA split, and the
+// transport's reassembly state is on a memory diet. The digest below was
+// captured from the `BTreeMap<NodeId, NodeState>` kernel that preceded
+// both, on the scenario in `slab_world_replays_pre_diet_digest_at_n1000`;
+// the slab-backed world must reproduce it bit-for-bit, or the storage
+// changed observable behavior.
 
 /// Pre-diet replay digest of the n=1000 cluster-pair scenario, captured
 /// before the slab/SoA world refactor.
@@ -727,41 +580,34 @@ const PRE_DIET_N1000_DIGEST: u64 = 0x6597_973c_eb0f_b20d;
 #[cfg(feature = "replay-digest")]
 #[test]
 fn slab_world_replays_pre_diet_digest_at_n1000() {
-    let run = |shards: u32| {
-        let mut config = SimConfig::default();
-        config.radio.baseline_loss = 0.02;
-        config.shards = shards;
-        let mut w = World::new(config, 42);
-        // 500 cluster pairs strung along x, far enough apart that clusters
-        // never interfere: throughput scales linearly, contention stays
-        // local, and the event stream still exercises MAC, acks and
-        // carrier sense inside every pair.
-        for i in 0..500u32 {
-            let x = f64::from(i) * 400.0;
-            w.add_node(
-                Position::new(x, 0.0),
-                Box::new(SimChatter { period_ms: 50 }),
-            );
-            w.add_node(
-                Position::new(x + 25.0, 0.0),
-                Box::new(SimChatter { period_ms: 50 }),
-            );
-        }
-        w.run_until(SimTime::from_secs_f64(0.3));
-        (w.replay_digest(), w.stats().clone())
-    };
-    let (digest, stats) = run(1);
-    assert!(stats.frames_delivered > 0, "scenario must carry traffic");
+    let mut config = SimConfig::default();
+    config.radio.baseline_loss = 0.02;
+    let mut w = World::new(config, 42);
+    // 500 cluster pairs strung along x, far enough apart that clusters
+    // never interfere: throughput scales linearly, contention stays
+    // local, and the event stream still exercises MAC, acks and
+    // carrier sense inside every pair.
+    for i in 0..500u32 {
+        let x = f64::from(i) * 400.0;
+        w.add_node(
+            Position::new(x, 0.0),
+            Box::new(SimChatter { period_ms: 50 }),
+        );
+        w.add_node(
+            Position::new(x + 25.0, 0.0),
+            Box::new(SimChatter { period_ms: 50 }),
+        );
+    }
+    w.run_until(SimTime::from_secs_f64(0.3));
+    let digest = w.replay_digest();
+    assert!(
+        w.stats().frames_delivered > 0,
+        "scenario must carry traffic"
+    );
     assert_eq!(
         digest, PRE_DIET_N1000_DIGEST,
-        "sequential digest drifted: got 0x{digest:016x}"
+        "digest drifted: got 0x{digest:016x}"
     );
-    let (sharded_digest, sharded_stats) = run(4);
-    assert_eq!(
-        sharded_digest, PRE_DIET_N1000_DIGEST,
-        "sharded digest drifted: got 0x{sharded_digest:016x}"
-    );
-    assert_eq!(sharded_stats, stats, "shards=4 changed outcomes");
 }
 
 // ---- dst fault plans --------------------------------------------------------
@@ -770,10 +616,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Any (seed, fault-plan) pair replays to identical statistics across
-    /// two runs and across event-scheduler implementations: the fault
-    /// layer draws all its randomness from the plan's own seeded stream,
-    /// so it is part of the deterministic contract, not an exception to
-    /// it.
+    /// two runs: the fault layer draws all its randomness from the plan's
+    /// own seeded stream, so it is part of the deterministic contract, not
+    /// an exception to it. (The same holds across event-queue
+    /// implementations; pds-sim's `scheduler_choice_never_changes_simulation_results`
+    /// checks that against the test-only heap, fault plans included.)
     #[test]
     fn fault_plans_replay_identically_across_runs_and_schedulers(
         world_seed in any::<u64>(),
@@ -808,12 +655,10 @@ proptest! {
             max_retr,
             horizon_ds: messages + 100,
         };
-        let a = pds_dst::scenario::run_case_with_scheduler(&spec, Scheduler::Wheel);
-        let b = pds_dst::scenario::run_case_with_scheduler(&spec, Scheduler::Wheel);
-        prop_assert_eq!(&a.stats, &b.stats, "same scheduler, same spec: stats diverged");
-        prop_assert_eq!(&a, &b, "same scheduler, same spec: outcome diverged");
-        let h = pds_dst::scenario::run_case_with_scheduler(&spec, Scheduler::BinaryHeap);
-        prop_assert_eq!(&a.stats, &h.stats, "wheel vs heap: stats diverged");
+        let a = pds_dst::scenario::run_case(&spec);
+        let b = pds_dst::scenario::run_case(&spec);
+        prop_assert_eq!(&a.stats, &b.stats, "same spec: stats diverged");
+        prop_assert_eq!(&a, &b, "same spec: outcome diverged");
         prop_assert!(a.violations.is_empty(), "invariants must hold in-envelope: {:?}", a.violations);
     }
 }
