@@ -222,6 +222,18 @@ fn audited_panic_pragma_becomes_a_ratcheted_exemption() {
 }
 
 #[test]
+fn audited_shard_executor_pragma_becomes_a_ratcheted_exemption() {
+    // A thread-pool exemption exists only where an audited pragma puts
+    // it. The kernel carries none, so an executor-shaped worker pool in
+    // the simulation crate is rejected and yields no exemption: the
+    // ratchet has nothing to grandfather.
+    let (findings, exemptions) = lint_fixture(Path::new("reject/sim/shard_channel.rs"));
+    let errs = errors(&findings);
+    assert!(errs.iter().any(|d| d.rule == "thread-pool"), "{errs:#?}");
+    assert!(exemptions.is_empty(), "{exemptions:#?}");
+}
+
+#[test]
 fn slab_fixture_needs_no_exemptions() {
     // The memory-diet slab idiom (checked `.get()` access, `?`-chained
     // SoA borrows — DESIGN.md §15) lints clean without a single audited
