@@ -523,9 +523,16 @@ fn city_bench(n: usize) -> Vec<CityRow> {
         .map(|&scenario| {
             heap_track::reset_peak();
             let mut world = scenario.build(n, 42);
+            #[cfg(feature = "prof")]
+            pds_sim::prof::reset();
             let start = WallClock::start();
             world.run_until(horizon);
             let wall_s = start.elapsed_s();
+            #[cfg(feature = "prof")]
+            {
+                println!("-- city {}", scenario.key());
+                pds_sim::prof::dump(horizon.as_micros());
+            }
             let peak_alloc_bytes = heap_track::peak();
             let events = world.events_dispatched();
             let first_stats = world.stats().clone();

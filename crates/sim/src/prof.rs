@@ -11,8 +11,11 @@
 //!   goes, keyed by the kernel event being handled;
 //! - **per subsystem** ([`ScopeTimer`]): wall time inside the spatial
 //!   grid re-bucket sweep, the timer-wheel pop path, application engine
-//!   callbacks, and the fault-injection delivery path — the axes the
-//!   resource-profiling report slices by.
+//!   callbacks, the fault-injection delivery path, and the two halves of
+//!   a `TxEnd` — radio receive verdicts and the per-receiver delivery
+//!   loop (transport plus the engine callbacks it triggers) — the axes
+//!   the resource-profiling report slices by. Scopes may nest: `engine`
+//!   time inside a delivery is also counted under `deliver`.
 //!
 //! [`dump`] takes the run's elapsed *virtual* time so each line can
 //! report virtual-vs-wall throughput (simulated µs per wall ms): a
@@ -30,7 +33,7 @@ thread_local! {
     pub static PROF: RefCell<[(u64, u64); 8]> = const { RefCell::new([(0, 0); 8]) };
     /// Per-thread (count, total nanoseconds) accumulators, one slot per
     /// subsystem scope (`SCOPE_*` order).
-    pub static SCOPES: RefCell<[(u64, u64); 4]> = const { RefCell::new([(0, 0); 4]) };
+    pub static SCOPES: RefCell<[(u64, u64); SCOPE_COUNT]> = const { RefCell::new([(0, 0); SCOPE_COUNT]) };
 }
 
 /// Subsystem slots for [`ScopeTimer`].
@@ -38,6 +41,9 @@ pub(crate) const SCOPE_GRID: usize = 0;
 pub(crate) const SCOPE_WHEEL: usize = 1;
 pub(crate) const SCOPE_ENGINE: usize = 2;
 pub(crate) const SCOPE_FAULT: usize = 3;
+pub(crate) const SCOPE_VERDICT: usize = 4;
+pub(crate) const SCOPE_DELIVER: usize = 5;
+const SCOPE_COUNT: usize = 6;
 
 /// The accumulator slot charged for dispatching `kind`.
 pub(crate) fn slot_of(kind: &EventKind) -> usize {
@@ -130,9 +136,9 @@ pub fn dump(virtual_us: u64) {
                 );
             }
         }
-        *p.borrow_mut() = [(0, 0); 8];
     });
-    const SCOPE_NAMES: [&str; 4] = ["grid", "wheel", "engine", "fault"];
+    const SCOPE_NAMES: [&str; SCOPE_COUNT] =
+        ["grid", "wheel", "engine", "fault", "verdict", "deliver"];
     SCOPES.with(|s| {
         for (i, (n, ns)) in s.borrow().iter().enumerate() {
             if *n > 0 {
@@ -140,7 +146,7 @@ pub fn dump(virtual_us: u64) {
                 // subsystem: the virtual-vs-wall throughput axis.
                 let virt_per_wall_ms = virtual_us as f64 / (*ns as f64 / 1e6);
                 println!(
-                    "  scope {:6} n={:>8} wall={:>8.3}s virt/wall={:>10.0} us/ms",
+                    "  scope {:7} n={:>8} wall={:>8.3}s virt/wall={:>10.0} us/ms",
                     SCOPE_NAMES[i],
                     n,
                     *ns as f64 / 1e9,
@@ -148,6 +154,13 @@ pub fn dump(virtual_us: u64) {
                 );
             }
         }
-        *s.borrow_mut() = [(0, 0); 4];
     });
+    reset();
+}
+
+/// Zeroes every accumulator without printing, so the next [`dump`]
+/// covers only what runs after this call.
+pub fn reset() {
+    PROF.with(|p| *p.borrow_mut() = [(0, 0); 8]);
+    SCOPES.with(|s| *s.borrow_mut() = [(0, 0); SCOPE_COUNT]);
 }

@@ -13,7 +13,7 @@ use crate::radio::{FragSet, Frame, FrameKind};
 use bytes::Bytes;
 use pds_core::{MessageHandle, NodeId, TimerId};
 use pds_core::{SimDuration, SimTime};
-use pds_det::DetMap;
+use pds_det::{DetMap, MapEntry};
 use std::fmt;
 use std::sync::Arc;
 
@@ -95,6 +95,11 @@ impl Outgoing {
 /// for duplicate suppression and re-acking, and without the collapse
 /// every one of them would pin its payload `Bytes` (keeping the sender's
 /// buffer alive through the refcount) plus a map entry of ~10 words.
+///
+/// Entries exist only for messages whose frames can reach this node
+/// again: multi-fragment and tracked messages, and every message while a
+/// duplicating fault plan is installed. A single-fragment message writes
+/// its tombstone directly, with no assembly phase.
 #[derive(Debug)]
 enum Incoming {
     /// Fragments still arriving. Boxed: the common steady-state entry is
@@ -153,7 +158,7 @@ pub(crate) struct SendPlan {
 }
 
 /// What the kernel must do after a data frame is received.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct DataPlan {
     /// Deliver this completed message to the application.
     pub deliver: Option<DeliverPlan>,
@@ -162,7 +167,7 @@ pub(crate) struct DataPlan {
     pub schedule_ack: Option<SimDuration>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct DeliverPlan {
     pub from: NodeId,
     pub intended: Vec<NodeId>,
@@ -273,6 +278,14 @@ impl Transport {
 
     /// Handles a received data fragment at node `me`. `payload` is the
     /// whole message payload the frame carries (see [`FrameKind::Data`]).
+    ///
+    /// `may_duplicate` says whether this very frame can reach `me` again
+    /// (the kernel sets it iff the installed fault plan duplicates frames).
+    /// An untracked single-fragment message that cannot arrive twice is
+    /// delivered without touching the receive table at all: it is never
+    /// retransmitted, and one transmission reaches each receiver at most
+    /// once, so its tombstone could never be read (DESIGN.md "Transport and
+    /// core diets").
     #[allow(clippy::too_many_arguments)]
     pub fn on_data_frame(
         &mut self,
@@ -286,21 +299,60 @@ impl Transport {
         from: NodeId,
         ack_enabled: bool,
         ack_delay: SimDuration,
+        may_duplicate: bool,
         now: SimTime,
     ) -> DataPlan {
-        let entry = self.incoming.entry(msg).or_insert_with(|| {
-            Incoming::Assembling(Box::new(Assembling {
-                payload: payload.clone(),
-                received: FragSet::new(frag_count),
-                frag_count,
-                from,
-                intended: Arc::clone(intended),
-                intended_me: intended.contains(&me),
-                msg_wire_bytes,
-                ack_timer_pending: false,
-                last_activity: now,
-            }))
-        });
+        let single = frag_count == 1 && frag == 0;
+        let deliver_now = |intended_me: bool| DeliverPlan {
+            from,
+            intended: intended.to_vec(),
+            overheard: !intended_me,
+            wire_bytes: msg_wire_bytes as usize,
+            payload: payload.clone(),
+        };
+        if single && !may_duplicate && (!ack_enabled || intended.is_empty()) {
+            debug_assert!(
+                !self.incoming.contains_key(&msg),
+                "{msg} arrived twice on the deliver-once path"
+            );
+            // Untracked, so no ack is ever scheduled.
+            return DataPlan {
+                deliver: Some(deliver_now(intended.contains(&me))),
+                schedule_ack: None,
+            };
+        }
+        let entry = match self.incoming.entry(msg) {
+            // A first single-fragment arrival completes at once: write the
+            // tombstone an assembly would collapse into, and skip the
+            // assembly itself.
+            MapEntry::Vacant(slot) if single => {
+                let intended_me = intended.contains(&me);
+                let ack = ack_enabled && intended_me;
+                slot.insert(Incoming::Done {
+                    frag_count,
+                    intended_me,
+                    ack_timer_pending: ack,
+                    last_activity: now,
+                });
+                return DataPlan {
+                    deliver: Some(deliver_now(intended_me)),
+                    schedule_ack: ack.then_some(SimDuration::ZERO),
+                };
+            }
+            slot => slot.or_insert_with(|| {
+                Incoming::Assembling(Box::new(Assembling {
+                    payload: payload.clone(),
+                    received: FragSet::new(frag_count),
+                    frag_count,
+                    from,
+                    intended: Arc::clone(intended),
+                    intended_me: intended.contains(&me),
+                    msg_wire_bytes,
+                    ack_timer_pending: false,
+                    last_activity: now,
+                }))
+            }),
+        };
 
         let mut deliver = None;
         let schedule_ack;
@@ -505,6 +557,12 @@ impl Transport {
         self.outgoing.contains_key(&msg)
     }
 
+    /// Number of receive-side entries (assemblies and tombstones).
+    #[cfg(test)]
+    pub fn incoming_len(&self) -> usize {
+        self.incoming.len()
+    }
+
     /// Drops stale incoming state: delivered messages older than
     /// `delivered_horizon`, incomplete ones idle longer than `stale_horizon`.
     pub fn sweep(
@@ -615,6 +673,7 @@ mod tests {
                     f.sender,
                     true,
                     SimDuration::from_millis(40),
+                    true,
                     SimTime::ZERO,
                 );
                 if p.deliver.is_some() {
@@ -792,6 +851,7 @@ mod tests {
             NodeId(0),
             true,
             SimDuration::from_millis(40),
+            true,
             SimTime::ZERO,
         );
         assert!(p1.schedule_ack.is_some());
@@ -806,6 +866,7 @@ mod tests {
             NodeId(0),
             true,
             SimDuration::from_millis(40),
+            true,
             SimTime::ZERO,
         );
         assert!(p2.schedule_ack.is_none(), "timer already pending");
@@ -839,10 +900,102 @@ mod tests {
             NodeId(0),
             true,
             SimDuration::from_millis(40),
+            true,
             SimTime::ZERO,
         );
         assert!(p.schedule_ack.is_none());
         assert!(p.deliver.expect("delivered").overheard);
+    }
+
+    /// Every receive path of a single-fragment message, over ack mode ×
+    /// the receiver's place in the intended list × whether the frame can
+    /// arrive twice. Only untracked frames that cannot repeat skip the
+    /// receive table; every other case keeps a tombstone that suppresses
+    /// a second arrival and re-acks with the assembly's exact bitmap.
+    #[test]
+    fn single_fragment_receive_paths() {
+        let me = NodeId(1);
+        let sender = NodeId(0);
+        let lists = [vec![], vec![me, NodeId(2)], vec![NodeId(2)]];
+        for ack_enabled in [false, true] {
+            for intended in &lists {
+                for may_duplicate in [false, true] {
+                    let case =
+                        format!("ack={ack_enabled} intended={intended:?} dup={may_duplicate}");
+                    let plan = send(&mut Transport::new(), sender, 0, 100, intended.clone());
+                    let [frame] = plan.frames.as_slice() else {
+                        panic!("{case}: expected one fragment")
+                    };
+                    let FrameKind::Data {
+                        msg,
+                        frag,
+                        frag_count,
+                        intended: list,
+                        payload: body,
+                        msg_wire_bytes,
+                    } = &frame.kind
+                    else {
+                        panic!("{case}: expected a data frame")
+                    };
+                    let arrive = |rx: &mut Transport| {
+                        rx.on_data_frame(
+                            me,
+                            *msg,
+                            *frag,
+                            *frag_count,
+                            list,
+                            body,
+                            *msg_wire_bytes,
+                            sender,
+                            ack_enabled,
+                            SimDuration::from_millis(40),
+                            may_duplicate,
+                            SimTime::ZERO,
+                        )
+                    };
+                    let intended_me = intended.contains(&me);
+                    let tracked = ack_enabled && !intended.is_empty();
+                    let mut rx = Transport::new();
+                    assert_eq!(
+                        arrive(&mut rx),
+                        DataPlan {
+                            deliver: Some(DeliverPlan {
+                                from: sender,
+                                intended: intended.clone(),
+                                overheard: !intended_me,
+                                wire_bytes: frame.wire_bytes,
+                                payload: payload(100),
+                            }),
+                            schedule_ack: (ack_enabled && intended_me).then_some(SimDuration::ZERO),
+                        },
+                        "{case}"
+                    );
+                    let stateless = !tracked && !may_duplicate;
+                    assert_eq!(rx.incoming.len(), usize::from(!stateless), "{case}");
+                    if !stateless {
+                        let again = arrive(&mut rx);
+                        assert_eq!(
+                            again,
+                            DataPlan {
+                                deliver: None,
+                                schedule_ack: None
+                            },
+                            "{case}: second arrival suppressed"
+                        );
+                    }
+                    if tracked {
+                        let ack = rx.make_ack(me, *msg).expect("tombstone re-acks");
+                        let mut assembled = FragSet::new(1);
+                        assembled.set(0);
+                        assert_eq!(ack.wire_bytes, ACK_HEADER_BASE + 8, "{case}");
+                        let FrameKind::Ack { received, .. } = ack.kind else {
+                            panic!("{case}: expected an ack")
+                        };
+                        assert_eq!(received, assembled, "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

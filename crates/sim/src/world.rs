@@ -1298,7 +1298,11 @@ impl World {
         let mut verdicts = std::mem::take(&mut self.vd_scratch);
         verdicts.clear();
         let mut scratch = std::mem::take(&mut self.phys_scratch);
-        self.phys_verdicts(&tx, &mut verdicts, &mut scratch);
+        {
+            #[cfg(feature = "prof")]
+            let _t = crate::prof::ScopeTimer::start(crate::prof::SCOPE_VERDICT);
+            self.phys_verdicts(&tx, &mut verdicts, &mut scratch);
+        }
         self.phys_scratch = scratch;
         // Commit: in-range receivers in ascending id order. The
         // per-receiver baseline-loss rolls below consume the shared rng
@@ -1368,8 +1372,12 @@ impl World {
             }
             deliveries.push(r);
         }
-        for &r in &deliveries {
-            self.deliver_frame(r, &tx.frame);
+        {
+            #[cfg(feature = "prof")]
+            let _t = crate::prof::ScopeTimer::start(crate::prof::SCOPE_DELIVER);
+            for &r in &deliveries {
+                self.deliver_frame(r, &tx.frame);
+            }
         }
         self.vd_scratch = verdicts;
         self.dl_scratch = deliveries;
@@ -1470,6 +1478,11 @@ impl World {
                 payload,
                 msg_wire_bytes,
             } => {
+                // Only a duplicating plan re-delivers a frame, and it rolls
+                // at the original's reception under that same plan, so the
+                // original keeps its dedup tombstone (see
+                // `Transport::on_data_frame`).
+                let may_duplicate = self.faults.as_ref().is_some_and(|f| f.plan.dup_prob > 0.0);
                 let plan = {
                     let Some(state) = self.nodes.get_mut(&r) else {
                         return;
@@ -1485,6 +1498,7 @@ impl World {
                         frame.sender,
                         ack_cfg.enabled,
                         ack_cfg.ack_delay,
+                        may_duplicate,
                         now,
                     )
                 };
@@ -2248,6 +2262,71 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Context, _tag: u64) {
             ctx.broadcast(Bytes::from_static(&[7u8; 64]), &[]);
             ctx.set_timer(SimDuration::from_millis(self.period_ms), 0);
+        }
+    }
+
+    /// Broadcasts a beacon stamped with its `(origin, seq)` every
+    /// `period_ms`, and tallies every stamp it hears (the DST
+    /// duplicate-delivery invariant, at application level).
+    struct StampedChatter {
+        period_ms: u64,
+        sent: u64,
+        heard: DetMap<(u32, u64), u32>,
+    }
+    impl Application for StampedChatter {
+        fn on_start(&mut self, ctx: &mut Context) {
+            ctx.set_timer(SimDuration::from_millis(self.period_ms), 0);
+        }
+        fn on_message(&mut self, _: &mut Context, _: MessageMeta, payload: Bytes) {
+            let (origin, seq) = payload.split_at(4);
+            let origin = u32::from_le_bytes(origin.try_into().expect("4-byte origin"));
+            let seq = u64::from_le_bytes(seq.try_into().expect("8-byte seq"));
+            *self.heard.entry((origin, seq)).or_insert(0) += 1;
+        }
+        fn on_timer(&mut self, ctx: &mut Context, _tag: u64) {
+            let mut stamp = ctx.node_id().0.to_le_bytes().to_vec();
+            stamp.extend_from_slice(&self.sent.to_le_bytes());
+            self.sent += 1;
+            ctx.broadcast(Bytes::from(stamp), &[]);
+            ctx.set_timer(SimDuration::from_millis(self.period_ms), 0);
+        }
+    }
+
+    #[test]
+    fn broadcasts_arrive_at_most_once_when_duplication_starts_mid_run() {
+        // Fault-free broadcasts take the deliver-once path and leave no
+        // dedup state behind. A duplicating plan installed mid-run must
+        // still never hand an application the same message twice: every
+        // frame received under it keeps its tombstone.
+        let mut w = World::new(lossless(), 5);
+        let ids: Vec<NodeId> = (0..6)
+            .map(|i| {
+                let app = StampedChatter {
+                    period_ms: 15,
+                    sent: 0,
+                    heard: DetMap::default(),
+                };
+                w.add_node(Position::new(20.0 * f64::from(i), 0.0), Box::new(app))
+            })
+            .collect();
+        let heard =
+            |w: &World, id: NodeId| w.app::<StampedChatter>(id).map_or(0, |app| app.heard.len());
+        w.run_until(secs(0.5));
+        let before: Vec<usize> = ids.iter().map(|&id| heard(&w, id)).collect();
+        for id in &ids {
+            let state = w.nodes.get(id).expect("alive");
+            assert_eq!(state.transport.incoming_len(), 0, "{id} kept dedup state");
+        }
+        let mut plan = FaultPlan::none(3);
+        plan.dup_prob = 1.0;
+        w.install_faults(plan);
+        w.run_until(secs(1.0));
+        assert!(w.stats().frames_fault_duplicated > 0, "plan must duplicate");
+        for (&id, before) in ids.iter().zip(before) {
+            assert!(heard(&w, id) > before, "{id} heard nothing under the plan");
+            let app = w.app::<StampedChatter>(id).expect("chatter");
+            let twice: Vec<_> = app.heard.iter().filter(|(_, &n)| n > 1).collect();
+            assert!(twice.is_empty(), "{id} heard {twice:?} more than once");
         }
     }
 
